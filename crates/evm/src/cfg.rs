@@ -9,13 +9,46 @@
 //! according to an explicit [`UnknownJumpPolicy`] — exactly the
 //! degradation that bytecode obfuscation induces and that the ScamDetect
 //! evaluation measures.
+//!
+//! # Representation
+//!
+//! The code is disassembled once. The [`Cfg`] owns that instruction
+//! vector, and each [`BasicBlock`] is an index range into it
+//! ([`Cfg::instructions`] borrows a block's slice). A block starts at
+//! offset 0, at every `JUMPDEST` and after every terminator or `JUMPI`,
+//! so the partition is found in one walk that looks only at the
+//! instruction before. While the graph is built, a dense table with one
+//! entry per code byte maps a block's start offset to its index; jump
+//! targets and fall-through successors are looked up there. Edges and
+//! resolved jump targets are gathered in plain vectors, then sorted and
+//! deduplicated once, so edges enter the graph in `(from, to, kind)`
+//! order. A site with an unresolved jump is a per-block flag.
+//!
+//! The fixpoint copies a block's entry state into one scratch state
+//! (reusing its buffers), simulates the block on it in place, and joins
+//! the result into each successor's entry state in place. Apart from
+//! the graph's adjacency lists, the only allocations per block are the
+//! entry states themselves.
+//!
+//! # Work budget
+//!
+//! The worklist runs at most [`CfgOptions::max_passes`] times the block
+//! count steps. Afterwards every block the fixpoint never simulated is
+//! simulated once: a dead block (never reached) from the empty state, a
+//! block still queued when the budget ran out from its joined entry
+//! state. Its out-edges and its unresolved flag are recorded either way,
+//! so an exhausted budget costs precision, not edges. Jumps resolved in
+//! this pass add edges but do not count toward
+//! [`Cfg::resolved_jump_count`]. When the fixpoint finishes within its
+//! budget, the pass sees exactly the dead blocks.
 
 use crate::disasm::{disassemble, Instruction};
 use crate::memory_model::AbstractState;
 use crate::opcode::Opcode;
 use crate::stack::AbstractValue;
 use scamdetect_graph::{DiGraph, NodeId};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
+use std::ops::Range;
 
 /// How to connect a jump whose target could not be resolved statically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -55,33 +88,13 @@ pub struct BasicBlock {
     /// Byte offset of the first instruction (`usize::MAX` for the virtual
     /// block, if any).
     pub start: usize,
-    /// The instructions of the block, in order.
-    pub instructions: Vec<Instruction>,
+    /// Index range of the block's instructions in the disassembly the
+    /// [`Cfg`] owns (empty for the virtual block); see
+    /// [`Cfg::instructions`].
+    pub instrs: Range<usize>,
     /// `true` only for the synthetic node of
     /// [`UnknownJumpPolicy::VirtualNode`].
     pub is_virtual: bool,
-}
-
-impl BasicBlock {
-    /// Byte offset one past the last instruction.
-    pub fn end(&self) -> usize {
-        self.instructions
-            .last()
-            .map_or(self.start, Instruction::next_offset)
-    }
-
-    /// Opcode of the final instruction, if any and assigned.
-    pub fn last_opcode(&self) -> Option<Opcode> {
-        self.instructions.last().and_then(|i| i.opcode)
-    }
-
-    /// `true` if the block begins with a `JUMPDEST` (is a valid jump
-    /// target).
-    pub fn is_jump_target(&self) -> bool {
-        self.instructions
-            .first()
-            .is_some_and(|i| i.opcode == Some(Opcode::JUMPDEST))
-    }
 }
 
 /// Kind of a CFG edge.
@@ -102,6 +115,7 @@ pub enum EdgeKind {
 #[derive(Debug, Clone)]
 pub struct Cfg {
     graph: DiGraph<BasicBlock, EdgeKind>,
+    instructions: Vec<Instruction>,
     entry: NodeId,
     unresolved_jumps: usize,
     resolved_jumps: usize,
@@ -123,6 +137,11 @@ impl Cfg {
         self.graph.node(id)
     }
 
+    /// The instructions of block `id`, in order.
+    pub fn instructions(&self, id: NodeId) -> &[Instruction] {
+        &self.instructions[self.block(id).instrs.clone()]
+    }
+
     /// Number of basic blocks (including a virtual node if present).
     pub fn block_count(&self) -> usize {
         self.graph.node_count()
@@ -138,9 +157,10 @@ impl Cfg {
         self.resolved_jumps
     }
 
-    /// Total instruction count across blocks.
+    /// Total instruction count across blocks (the blocks partition the
+    /// disassembly).
     pub fn instruction_count(&self) -> usize {
-        self.graph.nodes().map(|(_, b)| b.instructions.len()).sum()
+        self.instructions.len()
     }
 
     /// Graphviz rendering with per-block instruction listings.
@@ -148,12 +168,12 @@ impl Cfg {
         scamdetect_graph::dot::to_dot(
             &self.graph,
             "evm_cfg",
-            |_, b| {
+            |id, b| {
                 if b.is_virtual {
                     "<unresolved>".to_string()
                 } else {
                     let mut s = format!("@{:#06x}\n", b.start);
-                    for i in &b.instructions {
+                    for i in self.instructions(id) {
                         s.push_str(&i.to_string());
                         s.push('\n');
                     }
@@ -166,7 +186,7 @@ impl Cfg {
 }
 
 /// What a block does when it finishes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum BlockExit {
     Fall,
     Halt,
@@ -174,8 +194,8 @@ enum BlockExit {
     Branch(AbstractValue),
 }
 
-fn simulate_block(block: &[Instruction], entry: &AbstractState) -> (AbstractState, BlockExit) {
-    let mut state = entry.clone();
+/// Runs `block` on `state` in place and says how it exits.
+fn simulate_block(block: &[Instruction], state: &mut AbstractState) -> BlockExit {
     let mut exit = BlockExit::Fall;
     for ins in block {
         match ins.opcode {
@@ -196,7 +216,117 @@ fn simulate_block(block: &[Instruction], entry: &AbstractState) -> (AbstractStat
             _ => state.execute(ins),
         }
     }
-    (state, exit)
+    exit
+}
+
+/// Marks offsets where no block starts in [`Blocks::block_of`].
+const NO_BLOCK: u32 = u32::MAX;
+
+/// The block partition of one disassembly, with the lookups the
+/// fixpoint needs.
+struct Blocks<'a> {
+    instructions: &'a [Instruction],
+    blocks: Vec<BasicBlock>,
+    /// Block index by start offset, [`NO_BLOCK`] elsewhere; one entry per
+    /// code byte plus one for the end of the code.
+    block_of: Vec<u32>,
+}
+
+/// Where control leaves a block: the resolved jump target, the
+/// fall-through successor, and whether the jump target was unknown.
+struct Exits {
+    jump: Option<(u32, EdgeKind)>,
+    fall: Option<u32>,
+    unresolved: bool,
+}
+
+impl Exits {
+    /// Successors in worklist order: the jump target first.
+    fn successors(&self) -> impl Iterator<Item = (u32, EdgeKind)> {
+        self.jump
+            .into_iter()
+            .chain(self.fall.map(|f| (f, EdgeKind::FallThrough)))
+    }
+}
+
+impl<'a> Blocks<'a> {
+    fn partition(code_len: usize, instructions: &'a [Instruction]) -> Self {
+        let mut blocks: Vec<BasicBlock> = Vec::new();
+        let mut block_of = vec![NO_BLOCK; code_len + 1];
+        let mut after_end = true;
+        for (i, ins) in instructions.iter().enumerate() {
+            if after_end || ins.opcode == Some(Opcode::JUMPDEST) {
+                block_of[ins.offset] = blocks.len() as u32;
+                blocks.push(BasicBlock {
+                    start: ins.offset,
+                    instrs: i..i,
+                    is_virtual: false,
+                });
+            }
+            if let Some(b) = blocks.last_mut() {
+                b.instrs.end = i + 1;
+            }
+            after_end = ins.is_block_terminator() || ins.opcode == Some(Opcode::JUMPI);
+        }
+        if blocks.is_empty() {
+            block_of[0] = 0;
+            blocks.push(BasicBlock {
+                start: 0,
+                instrs: 0..0,
+                is_virtual: false,
+            });
+        }
+        Blocks {
+            instructions,
+            blocks,
+            block_of,
+        }
+    }
+
+    fn instrs(&self, b: usize) -> &'a [Instruction] {
+        &self.instructions[self.blocks[b].instrs.clone()]
+    }
+
+    /// `true` if block `b` begins with a `JUMPDEST` (is a valid jump
+    /// target).
+    fn is_jump_target(&self, b: usize) -> bool {
+        self.instrs(b)
+            .first()
+            .is_some_and(|i| i.opcode == Some(Opcode::JUMPDEST))
+    }
+
+    /// The block starting where `b` ends, if any.
+    fn next(&self, b: usize) -> Option<u32> {
+        let end = self
+            .instrs(b)
+            .last()
+            .map_or(self.blocks[b].start, Instruction::next_offset);
+        Some(self.block_of[end]).filter(|&n| n != NO_BLOCK)
+    }
+
+    /// The `JUMPDEST` block a known target lands on, if any.
+    fn resolve(&self, target: AbstractValue) -> Option<u32> {
+        let off = target.as_known()?.to_usize()?;
+        let b = *self.block_of.get(off)?;
+        (b != NO_BLOCK && self.is_jump_target(b as usize)).then_some(b)
+    }
+
+    /// Simulates block `b` on `state` and resolves where it goes.
+    fn run(&self, b: usize, state: &mut AbstractState) -> Exits {
+        let (jump, falls) = match simulate_block(self.instrs(b), state) {
+            BlockExit::Halt => (None, false),
+            BlockExit::Fall => (None, true),
+            BlockExit::Jump(t) => (Some((t, EdgeKind::Jump)), false),
+            BlockExit::Branch(t) => (Some((t, EdgeKind::Branch)), true),
+        };
+        Exits {
+            jump: jump.and_then(|(t, kind)| Some((self.resolve(t)?, kind))),
+            fall: if falls { self.next(b) } else { None },
+            // A known target that is not a JUMPDEST reverts: no edge, and
+            // not unresolved either.
+            unresolved: jump.is_some_and(|(t, _)| t.as_known().is_none()),
+        }
+    }
 }
 
 /// Builds the CFG of `code` with default options.
@@ -218,130 +348,45 @@ pub fn build_cfg(code: &[u8]) -> Cfg {
 
 /// Builds the CFG of `code` under explicit options.
 pub fn build_cfg_with(code: &[u8], opts: &CfgOptions) -> Cfg {
-    let instrs = disassemble(code);
-
-    // --- Block boundaries -------------------------------------------------
-    let mut leaders: BTreeSet<usize> = BTreeSet::new();
-    leaders.insert(0);
-    for ins in &instrs {
-        if ins.opcode == Some(Opcode::JUMPDEST) {
-            leaders.insert(ins.offset);
-        }
-        if ins.is_block_terminator() || ins.opcode == Some(Opcode::JUMPI) {
-            leaders.insert(ins.next_offset());
-        }
-    }
-
-    let mut blocks: Vec<BasicBlock> = Vec::new();
-    let mut current: Vec<Instruction> = Vec::new();
-    let mut current_start = 0usize;
-    for ins in &instrs {
-        if ins.offset != current_start && leaders.contains(&ins.offset) && !current.is_empty() {
-            blocks.push(BasicBlock {
-                start: current_start,
-                instructions: std::mem::take(&mut current),
-                is_virtual: false,
-            });
-            current_start = ins.offset;
-        }
-        if current.is_empty() {
-            current_start = ins.offset;
-        }
-        current.push(ins.clone());
-    }
-    if !current.is_empty() || blocks.is_empty() {
-        blocks.push(BasicBlock {
-            start: current_start,
-            instructions: current,
-            is_virtual: false,
-        });
-    }
-
-    let mut graph: DiGraph<BasicBlock, EdgeKind> = DiGraph::with_capacity(blocks.len());
-    let mut offset_to_node: BTreeMap<usize, NodeId> = BTreeMap::new();
-    for b in blocks {
-        let start = b.start;
-        let id = graph.add_node(b);
-        offset_to_node.insert(start, id);
-    }
-    let entry = offset_to_node[&0];
-
-    let node_order: Vec<NodeId> = graph.node_ids().collect();
-    let jumpdest_nodes: Vec<NodeId> = node_order
-        .iter()
-        .copied()
-        .filter(|&n| graph.node(n).is_jump_target())
-        .collect();
+    let instructions = disassemble(code);
+    let part = Blocks::partition(code.len(), &instructions);
+    let n = part.blocks.len();
 
     // --- Fixpoint jump resolution -----------------------------------------
-    let mut in_state: Vec<Option<AbstractState>> = vec![None; graph.node_count()];
-    in_state[entry.index()] = Some(AbstractState::new());
-    let mut edges: BTreeSet<(NodeId, NodeId, EdgeKind)> = BTreeSet::new();
-    let mut unresolved_sites: BTreeSet<NodeId> = BTreeSet::new();
-    let mut resolved_targets: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
+    let mut in_state: Vec<Option<AbstractState>> = vec![None; n];
+    in_state[0] = Some(AbstractState::new());
+    let mut simulated = vec![false; n];
+    let mut unresolved = vec![false; n];
+    let mut edges: Vec<(u32, u32, EdgeKind)> = Vec::new();
+    let mut resolved: Vec<(u32, u32)> = Vec::new();
+    let mut state = AbstractState::new();
 
-    let next_block_of = |n: NodeId, graph: &DiGraph<BasicBlock, EdgeKind>| -> Option<NodeId> {
-        let end = graph.node(n).end();
-        offset_to_node.get(&end).copied()
-    };
-
-    let mut queue: VecDeque<NodeId> = VecDeque::new();
-    queue.push_back(entry);
-    let budget = graph.node_count().max(1) * opts.max_passes;
+    let mut queue: VecDeque<u32> = VecDeque::from([0]);
+    let budget = n.saturating_mul(opts.max_passes);
     let mut steps = 0usize;
-
-    while let Some(n) = queue.pop_front() {
+    while let Some(b) = queue.pop_front() {
         steps += 1;
         if steps > budget {
             break;
         }
-        let entry_state = in_state[n.index()].clone().unwrap_or_default();
-        let (exit_state, exit) = simulate_block(&graph.node(n).instructions, &entry_state);
-
-        let mut succs: Vec<(NodeId, EdgeKind)> = Vec::new();
-        match exit {
-            BlockExit::Halt => {}
-            BlockExit::Fall => {
-                if let Some(next) = next_block_of(n, &graph) {
-                    succs.push((next, EdgeKind::FallThrough));
-                }
-            }
-            BlockExit::Jump(target) => match resolve_target(target, &offset_to_node, &graph) {
-                Some(t) => {
-                    resolved_targets.entry(n).or_default().insert(t);
-                    succs.push((t, EdgeKind::Jump));
-                }
-                None => {
-                    if target.as_known().is_none() {
-                        unresolved_sites.insert(n);
-                    }
-                    // Known-but-invalid target: execution reverts, no edge.
-                }
-            },
-            BlockExit::Branch(target) => {
-                match resolve_target(target, &offset_to_node, &graph) {
-                    Some(t) => {
-                        resolved_targets.entry(n).or_default().insert(t);
-                        succs.push((t, EdgeKind::Branch));
-                    }
-                    None => {
-                        if target.as_known().is_none() {
-                            unresolved_sites.insert(n);
-                        }
-                    }
-                }
-                if let Some(next) = next_block_of(n, &graph) {
-                    succs.push((next, EdgeKind::FallThrough));
-                }
-            }
+        let b = b as usize;
+        state.clone_from(
+            in_state[b]
+                .as_ref()
+                .expect("a block is queued only after its entry state is set"),
+        );
+        simulated[b] = true;
+        let exits = part.run(b, &mut state);
+        unresolved[b] |= exits.unresolved;
+        if let Some((t, _)) = exits.jump {
+            resolved.push((b as u32, t));
         }
-
-        for (succ, kind) in succs {
-            edges.insert((n, succ, kind));
-            let changed = match &mut in_state[succ.index()] {
-                Some(st) => st.join_from(&exit_state),
+        for (succ, kind) in exits.successors() {
+            edges.push((b as u32, succ, kind));
+            let changed = match &mut in_state[succ as usize] {
+                Some(st) => st.join_from(&state),
                 slot => {
-                    *slot = Some(exit_state.clone());
+                    *slot = Some(state.clone());
                     true
                 }
             };
@@ -351,90 +396,69 @@ pub fn build_cfg_with(code: &[u8], opts: &CfgOptions) -> Cfg {
         }
     }
 
-    // --- Dead blocks: simulate once with an unknown entry ------------------
-    for n in &node_order {
-        if in_state[n.index()].is_some() {
-            continue;
+    // --- Blocks never simulated: dead, or cut off by the budget -----------
+    for b in (0..n).filter(|&b| !simulated[b]) {
+        match &in_state[b] {
+            Some(entry) => state.clone_from(entry),
+            None => state = AbstractState::new(),
         }
-        let (_, exit) = simulate_block(&graph.node(*n).instructions, &AbstractState::new());
-        match exit {
-            BlockExit::Halt => {}
-            BlockExit::Fall => {
-                if let Some(next) = next_block_of(*n, &graph) {
-                    edges.insert((*n, next, EdgeKind::FallThrough));
-                }
-            }
-            BlockExit::Jump(t) => match resolve_target(t, &offset_to_node, &graph) {
-                Some(tn) => {
-                    edges.insert((*n, tn, EdgeKind::Jump));
-                }
-                None => {
-                    if t.as_known().is_none() {
-                        unresolved_sites.insert(*n);
-                    }
-                }
-            },
-            BlockExit::Branch(t) => {
-                if let Some(tn) = resolve_target(t, &offset_to_node, &graph) {
-                    edges.insert((*n, tn, EdgeKind::Branch));
-                } else if t.as_known().is_none() {
-                    unresolved_sites.insert(*n);
-                }
-                if let Some(next) = next_block_of(*n, &graph) {
-                    edges.insert((*n, next, EdgeKind::FallThrough));
-                }
-            }
-        }
+        let exits = part.run(b, &mut state);
+        unresolved[b] |= exits.unresolved;
+        edges.extend(
+            exits
+                .successors()
+                .map(|(succ, kind)| (b as u32, succ, kind)),
+        );
     }
 
     // --- Unresolved jump policy --------------------------------------------
+    let sites = || (0..n as u32).filter(|&b| unresolved[b as usize]);
+    let jumpdests = || (0..n as u32).filter(|&b| part.is_jump_target(b as usize));
+    let mut virtual_node = false;
     match opts.unknown_jump_policy {
         UnknownJumpPolicy::Ignore => {}
         UnknownJumpPolicy::ToAllJumpdests => {
-            for &site in &unresolved_sites {
-                for &jd in &jumpdest_nodes {
-                    edges.insert((site, jd, EdgeKind::Unresolved));
-                }
+            for site in sites() {
+                edges.extend(jumpdests().map(|jd| (site, jd, EdgeKind::Unresolved)));
             }
         }
         UnknownJumpPolicy::VirtualNode => {
-            if !unresolved_sites.is_empty() {
-                let virt = graph.add_node(BasicBlock {
-                    start: usize::MAX,
-                    instructions: Vec::new(),
-                    is_virtual: true,
-                });
-                for &site in &unresolved_sites {
-                    edges.insert((site, virt, EdgeKind::Unresolved));
-                }
-                for &jd in &jumpdest_nodes {
-                    edges.insert((virt, jd, EdgeKind::Unresolved));
-                }
+            virtual_node = sites().next().is_some();
+            if virtual_node {
+                let virt = n as u32;
+                edges.extend(sites().map(|site| (site, virt, EdgeKind::Unresolved)));
+                edges.extend(jumpdests().map(|jd| (virt, jd, EdgeKind::Unresolved)));
             }
         }
     }
-
-    for (from, to, kind) in edges {
-        graph.add_edge(from, to, kind);
+    let unresolved_jumps = sites().count();
+    let Blocks { mut blocks, .. } = part;
+    if virtual_node {
+        blocks.push(BasicBlock {
+            start: usize::MAX,
+            instrs: 0..0,
+            is_virtual: true,
+        });
     }
 
-    let resolved_jumps = resolved_targets.values().map(BTreeSet::len).sum();
+    edges.sort_unstable();
+    edges.dedup();
+    resolved.sort_unstable();
+    resolved.dedup();
+    let mut graph: DiGraph<BasicBlock, EdgeKind> = DiGraph::with_capacity(blocks.len());
+    for b in blocks {
+        graph.add_node(b);
+    }
+    for (from, to, kind) in edges {
+        graph.add_edge(NodeId::new(from as usize), NodeId::new(to as usize), kind);
+    }
     Cfg {
         graph,
-        entry,
-        unresolved_jumps: unresolved_sites.len(),
-        resolved_jumps,
+        instructions,
+        entry: NodeId::new(0),
+        unresolved_jumps,
+        resolved_jumps: resolved.len(),
     }
-}
-
-fn resolve_target(
-    target: AbstractValue,
-    offset_to_node: &BTreeMap<usize, NodeId>,
-    graph: &DiGraph<BasicBlock, EdgeKind>,
-) -> Option<NodeId> {
-    let off = target.as_known()?.to_usize()?;
-    let node = offset_to_node.get(&off).copied()?;
-    graph.node(node).is_jump_target().then_some(node)
 }
 
 #[cfg(test)]
@@ -483,7 +507,7 @@ mod tests {
             p.op(Opcode::STOP);
         });
         let cfg = build_cfg(&code);
-        let kinds: BTreeSet<EdgeKind> = cfg.graph().edges().map(|(_, _, k)| *k).collect();
+        let kinds: Vec<EdgeKind> = cfg.graph().edges().map(|(_, _, k)| *k).collect();
         assert!(kinds.contains(&EdgeKind::Branch));
         assert!(kinds.contains(&EdgeKind::FallThrough));
     }
@@ -591,6 +615,66 @@ mod tests {
         });
         let cfg = build_cfg(&code);
         assert!(cfg.graph().edges().any(|(_, _, k)| *k == EdgeKind::Jump));
+    }
+
+    #[test]
+    fn exhausted_budget_keeps_out_edges_of_reached_blocks() {
+        // With no budget the entry block is reached but never simulated
+        // by the fixpoint; the pass after it still records its edges.
+        let no_budget = CfgOptions {
+            max_passes: 0,
+            ..CfgOptions::default()
+        };
+        let code = assemble(|p| {
+            let l = p.new_label();
+            p.jump_to(l);
+            p.place_label(l);
+            p.op(Opcode::STOP);
+        });
+        let edges = |cfg: &Cfg| -> Vec<(NodeId, NodeId, EdgeKind)> {
+            cfg.graph().edges().map(|(u, v, k)| (u, v, *k)).collect()
+        };
+        let cut = build_cfg_with(&code, &no_budget);
+        assert_eq!(cut.block_count(), 2);
+        assert_eq!(edges(&cut), edges(&build_cfg(&code)));
+        assert_eq!(
+            edges(&cut),
+            [(NodeId::new(0), NodeId::new(1), EdgeKind::Jump)]
+        );
+
+        // The same holds for the unresolved flag of a dynamic jump.
+        let code = assemble(|p| {
+            let l = p.new_label();
+            p.push_value(0);
+            p.op(Opcode::CALLDATALOAD);
+            p.op(Opcode::JUMP);
+            p.place_label(l);
+            p.op(Opcode::STOP);
+        });
+        assert_eq!(build_cfg_with(&code, &no_budget).unresolved_jump_count(), 1);
+    }
+
+    #[test]
+    fn blocks_are_ranges_of_one_disassembly() {
+        let code = assemble(|p| {
+            let l = p.new_label();
+            p.op(Opcode::CALLVALUE);
+            p.jumpi_to(l);
+            p.op(Opcode::STOP);
+            p.place_label(l);
+            p.op(Opcode::STOP);
+        });
+        let cfg = build_cfg(&code);
+        let offsets: Vec<usize> = cfg
+            .graph()
+            .node_ids()
+            .flat_map(|id| cfg.instructions(id).iter().map(|i| i.offset))
+            .collect();
+        let expected: Vec<usize> = disassemble(&code).iter().map(|i| i.offset).collect();
+        assert_eq!(offsets, expected);
+        for (id, b) in cfg.graph().nodes() {
+            assert_eq!(cfg.instructions(id)[0].offset, b.start);
+        }
     }
 
     #[test]

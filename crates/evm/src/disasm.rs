@@ -3,13 +3,83 @@
 use crate::opcode::Opcode;
 use crate::word::U256;
 use std::fmt;
+use std::ops::Deref;
+
+/// The immediate bytes of one instruction, stored inline.
+///
+/// Holds at most 32 bytes (a `PUSH32`'s) and dereferences to the bytes
+/// present, so decoding an instruction never allocates.
+#[derive(Clone, Copy, Default)]
+pub struct Immediate {
+    len: u8,
+    // Only the first `len` bytes are meaningful.
+    bytes: [u8; 32],
+}
+
+impl Immediate {
+    /// Copies `bytes` into an inline immediate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is longer than 32 bytes.
+    pub fn new(bytes: &[u8]) -> Self {
+        let mut imm = Immediate {
+            len: bytes.len() as u8,
+            bytes: [0; 32],
+        };
+        imm.bytes[..bytes.len()].copy_from_slice(bytes);
+        imm
+    }
+
+    /// The `len` immediate bytes at `code[start..]`, all present. Away
+    /// from the end of the code this is one fixed-size copy of 32 bytes.
+    fn read(code: &[u8], start: usize, len: usize) -> Self {
+        match code.get(start..start + 32) {
+            Some(window) => Immediate {
+                len: len as u8,
+                bytes: window.try_into().expect("a 32-byte window"),
+            },
+            None => Immediate::new(&code[start..start + len]),
+        }
+    }
+}
+
+impl Deref for Immediate {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+}
+
+impl PartialEq for Immediate {
+    fn eq(&self, other: &Immediate) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Immediate {}
+
+impl PartialEq<Vec<u8>> for Immediate {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Immediate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
 
 /// One decoded instruction.
 ///
 /// Unassigned bytes decode with `opcode == None` and behave like `INVALID`
 /// (they terminate execution if reached). A push whose immediate runs past
 /// the end of the code keeps the bytes that exist; the EVM semantics of
-/// zero-padding are applied by [`Instruction::push_value`].
+/// zero-padding are applied by [`Instruction::push_value`]. The immediate
+/// is stored inline, so an instruction owns all its data without a heap
+/// allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Instruction {
     /// Byte offset of the opcode within the bytecode.
@@ -20,7 +90,7 @@ pub struct Instruction {
     pub byte: u8,
     /// Immediate bytes actually present in the code (may be shorter than
     /// declared for a truncated trailing push).
-    pub immediate: Vec<u8>,
+    pub immediate: Immediate,
 }
 
 impl Instruction {
@@ -41,10 +111,9 @@ impl Instruction {
         if !op.is_push() {
             return None;
         }
-        let declared = op.immediate_len();
-        let mut padded = self.immediate.clone();
-        padded.resize(declared, 0);
-        Some(U256::from_be_bytes(&padded))
+        let mut padded = [0u8; 32];
+        padded[..self.immediate.len()].copy_from_slice(&self.immediate);
+        Some(U256::from_be_bytes(&padded[..op.immediate_len()]))
     }
 
     /// `true` if this instruction halts or unconditionally transfers
@@ -62,7 +131,7 @@ impl fmt::Display for Instruction {
         match self.opcode {
             Some(op) if !self.immediate.is_empty() => {
                 write!(f, "{:#06x}: {} 0x", self.offset, op.mnemonic())?;
-                for b in &self.immediate {
+                for b in self.immediate.iter() {
                     write!(f, "{b:02x}")?;
                 }
                 Ok(())
@@ -73,12 +142,54 @@ impl fmt::Display for Instruction {
     }
 }
 
-/// Disassembles `code` with a linear sweep from offset 0.
+/// Iterator over the instructions of `code`, decoded lazily from the
+/// borrowed bytes; see [`instructions`].
+#[derive(Debug, Clone)]
+pub struct Instructions<'a> {
+    code: &'a [u8],
+    pc: usize,
+}
+
+impl Iterator for Instructions<'_> {
+    type Item = Instruction;
+
+    fn next(&mut self) -> Option<Instruction> {
+        let pc = self.pc;
+        let byte = *self.code.get(pc)?;
+        let end = (pc + 1 + Opcode::immediate_len_of(byte)).min(self.code.len());
+        self.pc = end;
+        Some(Instruction {
+            offset: pc,
+            opcode: Opcode::from_byte(byte),
+            byte,
+            immediate: Immediate::read(self.code, pc + 1, end - pc - 1),
+        })
+    }
+
+    fn count(self) -> usize {
+        let mut pc = self.pc;
+        let mut n = 0;
+        while let Some(&byte) = self.code.get(pc) {
+            n += 1;
+            pc += 1 + Opcode::immediate_len_of(byte);
+        }
+        n
+    }
+}
+
+/// Walks `code` with a linear sweep from offset 0, one instruction at a
+/// time, without collecting them.
 ///
 /// Every byte is decoded exactly once; push immediates are consumed by
 /// their opcode. This matches how the EVM itself delimits instructions
 /// (`JUMPDEST` analysis), so data embedded after code shows up as garbage
 /// instructions — exactly what a static analyzer sees.
+pub fn instructions(code: &[u8]) -> Instructions<'_> {
+    Instructions { code, pc: 0 }
+}
+
+/// Disassembles `code` into a vector: [`instructions`], collected into
+/// one allocation of the exact size.
 ///
 /// # Examples
 ///
@@ -94,21 +205,8 @@ impl fmt::Display for Instruction {
 /// assert_eq!(instrs[2].opcode, Some(Opcode::MSTORE));
 /// ```
 pub fn disassemble(code: &[u8]) -> Vec<Instruction> {
-    let mut out = Vec::new();
-    let mut pc = 0usize;
-    while pc < code.len() {
-        let byte = code[pc];
-        let opcode = Opcode::from_byte(byte);
-        let imm_len = opcode.map_or(0, Opcode::immediate_len);
-        let end = (pc + 1 + imm_len).min(code.len());
-        out.push(Instruction {
-            offset: pc,
-            opcode,
-            byte,
-            immediate: code[pc + 1..end].to_vec(),
-        });
-        pc = end;
-    }
+    let mut out = Vec::with_capacity(instructions(code).count());
+    out.extend(instructions(code));
     out
 }
 
@@ -132,12 +230,13 @@ pub fn jumpdest_offsets(instrs: &[Instruction]) -> Vec<usize> {
         .collect()
 }
 
-/// A normalized histogram over opcode bytes (256 bins, frequencies summing
-/// to 1 for nonempty input). The classic PhishingHook-style feature vector.
-pub fn opcode_histogram(instrs: &[Instruction]) -> Vec<f64> {
+/// A normalized histogram over the opcode bytes of `code` (256 bins,
+/// frequencies summing to 1 for nonempty input), counted in one walk
+/// over [`instructions`]. The classic PhishingHook-style feature vector.
+pub fn opcode_histogram(code: &[u8]) -> Vec<f64> {
     let mut h = vec![0.0f64; 256];
-    for ins in instrs {
-        h[ins.byte as usize] += 1.0;
+    for ins in instructions(code) {
+        h[usize::from(ins.byte)] += 1.0;
     }
     let total: f64 = h.iter().sum();
     if total > 0.0 {
@@ -203,10 +302,60 @@ mod tests {
     #[test]
     fn histogram_normalizes() {
         let code = [0x01, 0x01, 0x02, 0x00];
-        let h = opcode_histogram(&disassemble(&code));
+        let h = opcode_histogram(&code);
         assert!((h[0x01] - 0.5).abs() < 1e-12);
         assert!((h[0x02] - 0.25).abs() < 1e-12);
         assert!((h.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn histogram_bits_match_the_disassembly_definition() {
+        // The histogram as first defined: over a disassembled vector.
+        fn reference(instrs: &[Instruction]) -> Vec<f64> {
+            let mut h = vec![0.0f64; 256];
+            for ins in instrs {
+                h[ins.byte as usize] += 1.0;
+            }
+            let total: f64 = h.iter().sum();
+            if total > 0.0 {
+                for v in &mut h {
+                    *v /= total;
+                }
+            }
+            h
+        }
+        let mut inputs: Vec<Vec<u8>> = vec![vec![], vec![0x63, 0xaa, 0xbb], vec![0x5f, 0x5f]];
+        // Pseudo-random code (xorshift), long enough for every bin to be
+        // hit and for sums that are not exact in binary.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for len in [1, 7, 100, 1000, 5000] {
+            inputs.push(
+                (0..len)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        x as u8
+                    })
+                    .collect(),
+            );
+        }
+        for code in &inputs {
+            let bits = |h: Vec<f64>| h.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(
+                bits(opcode_histogram(code)),
+                bits(reference(&disassemble(code)))
+            );
+        }
+    }
+
+    #[test]
+    fn iterator_matches_vector() {
+        let code = [0x60, 0x01, 0x5b, 0x7f, 0x01, 0x02];
+        let walked: Vec<Instruction> = instructions(&code).collect();
+        assert_eq!(walked, disassemble(&code));
+        assert_eq!(walked[2].immediate, vec![0x01, 0x02]);
+        assert_eq!(walked[2].size(), 3);
     }
 
     #[test]

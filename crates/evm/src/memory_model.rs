@@ -11,19 +11,36 @@
 use crate::disasm::Instruction;
 use crate::opcode::Opcode;
 use crate::stack::{AbstractStack, AbstractValue};
-use std::collections::BTreeMap;
 
 /// Maximum tracked memory words; beyond this the map havocs (analysis
 /// stays sound, just less precise).
 pub const MAX_TRACKED_WORDS: usize = 128;
 
 /// Abstract machine state: stack plus word-tracked memory.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, PartialEq, Eq, Default)]
 pub struct AbstractState {
     /// The operand stack.
     pub stack: AbstractStack,
-    /// Known 32-byte words at exact byte offsets.
-    memory: BTreeMap<u64, AbstractValue>,
+    /// Known 32-byte words at exact byte offsets, sorted by offset with
+    /// no offset twice. A flat vector: at most [`MAX_TRACKED_WORDS`]
+    /// entries, so copying or joining a state is one buffer copy or walk.
+    memory: Vec<(u64, AbstractValue)>,
+}
+
+impl Clone for AbstractState {
+    fn clone(&self) -> Self {
+        AbstractState {
+            stack: self.stack.clone(),
+            memory: self.memory.clone(),
+        }
+    }
+
+    // Reuses `self`'s buffers: the CFG fixpoint copies entry states into
+    // one scratch state.
+    fn clone_from(&mut self, source: &Self) {
+        self.stack.clone_from(&source.stack);
+        self.memory.clone_from(&source.memory);
+    }
 }
 
 impl AbstractState {
@@ -42,37 +59,36 @@ impl AbstractState {
         self.memory.clear();
     }
 
+    /// Index of the first tracked word at or after byte `offset`.
+    fn lower_bound(&self, offset: u64) -> usize {
+        self.memory.partition_point(|&(k, _)| k < offset)
+    }
+
+    /// The word tracked at exactly byte `offset`.
+    fn word(&self, offset: u64) -> Option<AbstractValue> {
+        self.memory
+            .get(self.lower_bound(offset))
+            .and_then(|&(k, v)| (k == offset).then_some(v))
+    }
+
     /// Forgets words overlapping `[offset, offset + len)`.
     fn havoc_range(&mut self, offset: u64, len: u64) {
         if len == 0 {
             return;
         }
-        let lo = offset.saturating_sub(31);
-        let hi = offset.saturating_add(len);
-        let stale: Vec<u64> = self.memory.range(lo..hi).map(|(k, _)| *k).collect();
-        for k in stale {
-            self.memory.remove(&k);
-        }
+        let lo = self.lower_bound(offset.saturating_sub(31));
+        let hi = self.lower_bound(offset.saturating_add(len));
+        self.memory.drain(lo..hi);
     }
 
     /// Joins with another state (used at CFG merge points); returns `true`
     /// if `self` changed. Memory join is the intersection of agreeing
     /// facts, so precision only decreases and the fixpoint terminates.
     pub fn join_from(&mut self, other: &AbstractState) -> bool {
-        let mut changed = self.stack.join_from(&other.stack);
-        let stale: Vec<u64> = self
-            .memory
-            .iter()
-            .filter(|(k, v)| other.memory.get(k) != Some(v))
-            .map(|(k, _)| *k)
-            .collect();
-        if !stale.is_empty() {
-            changed = true;
-            for k in stale {
-                self.memory.remove(&k);
-            }
-        }
-        changed
+        let changed = self.stack.join_from(&other.stack);
+        let before = self.memory.len();
+        self.memory.retain(|&(k, v)| other.word(k) == Some(v));
+        changed || self.memory.len() != before
     }
 
     /// Executes one instruction over stack and memory.
@@ -90,7 +106,9 @@ impl AbstractState {
                         self.havoc_range(off, 32);
                         if let AbstractValue::Known(_) = val {
                             if self.memory.len() < MAX_TRACKED_WORDS {
-                                self.memory.insert(off, val);
+                                // The havoc above removed any word at `off`.
+                                let at = self.lower_bound(off);
+                                self.memory.insert(at, (off, val));
                             }
                         }
                     }
@@ -102,7 +120,7 @@ impl AbstractState {
                 let loaded = off
                     .as_known()
                     .and_then(|w| w.to_usize())
-                    .and_then(|o| self.memory.get(&(o as u64)).copied())
+                    .and_then(|o| self.word(o as u64))
                     .unwrap_or(AbstractValue::Unknown);
                 self.stack.push(loaded);
             }

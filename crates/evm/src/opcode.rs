@@ -84,6 +84,15 @@ macro_rules! opcodes {
                 match self { $( Opcode::$name => $imm, )* }
             }
 
+            /// [`Opcode::immediate_len`] of the opcode byte `b`, 0 for
+            /// unassigned bytes: one table lookup, for linear sweeps.
+            pub(crate) fn immediate_len_of(b: u8) -> usize {
+                match b {
+                    $( $byte => $imm, )*
+                    _ => 0,
+                }
+            }
+
             /// Semantic category.
             pub fn category(self) -> OpCategory {
                 match self { $( Opcode::$name => OpCategory::$cat, )* }
@@ -350,6 +359,10 @@ mod tests {
         assert_eq!(Opcode::PUSH1.immediate_len(), 1);
         assert_eq!(Opcode::PUSH32.immediate_len(), 32);
         assert_eq!(Opcode::ADD.immediate_len(), 0);
+        for b in 0..=255u8 {
+            let expected = Opcode::from_byte(b).map_or(0, Opcode::immediate_len);
+            assert_eq!(Opcode::immediate_len_of(b), expected, "{b:#04x}");
+        }
         assert!(Opcode::PUSH7.is_push());
         assert!(!Opcode::POP.is_push());
     }

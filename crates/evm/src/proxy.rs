@@ -108,14 +108,15 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// A cheap structural fingerprint for near-duplicate detection: the FNV-1a
 /// hash of the opcode-byte sequence with every push *immediate* masked out.
 /// Contracts that differ only in embedded constants (addresses, amounts,
-/// selectors) collide — which is exactly what dedup wants.
+/// selectors) collide — which is exactly what dedup wants. One walk over
+/// the code; no instruction vector is built.
 pub fn skeleton_hash(code: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     let mut fold = |b: u8| {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
     };
-    for ins in crate::disasm::disassemble(code) {
+    for ins in crate::disasm::instructions(code) {
         fold(ins.byte);
         // Immediates are masked: only their width contributes.
         fold(ins.immediate.len() as u8);
@@ -180,6 +181,26 @@ mod tests {
         // Different shape.
         let c = [0x60, 0x11, 0x60, 0x22, 0x02, 0x00];
         assert_ne!(skeleton_hash(&a), skeleton_hash(&c));
+    }
+
+    #[test]
+    fn skeleton_hash_values_are_pinned() {
+        // Ring placement and cache keys depend on these exact values.
+        // PUSH1 1; PUSH4 truncated to two bytes at the end of the code.
+        assert_eq!(
+            skeleton_hash(&[0x60, 0x01, 0x63, 0xaa, 0xbb]),
+            0x4361_548a_5f3e_5bbb
+        );
+        // PUSH0 PUSH0 ADD STOP.
+        assert_eq!(
+            skeleton_hash(&[0x5f, 0x5f, 0x01, 0x00]),
+            0xf220_bd16_292d_2cdc
+        );
+        assert_eq!(
+            skeleton_hash(&make_erc1167(&[0xaa; 20])),
+            0x8d19_23ec_c2bb_1edb
+        );
+        assert_eq!(skeleton_hash(&[]), FNV_OFFSET);
     }
 
     #[test]

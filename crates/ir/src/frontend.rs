@@ -113,23 +113,20 @@ impl Frontend for EvmFrontend {
             return Err(FrontendError::EmptyContract);
         }
         let cfg = build_cfg_with(bytes, &self.options);
-        let graph = cfg.graph().map_nodes(|_, block| {
+        // One pass over the block ranges: each block's instructions are
+        // classified straight into its unified node.
+        let mut out: DiGraph<UnifiedBlock, UnifiedEdge> = DiGraph::with_capacity(cfg.block_count());
+        for id in cfg.graph().node_ids() {
             let mut ub = UnifiedBlock::new();
-            for ins in &block.instructions {
+            for ins in cfg.instructions(id) {
                 match ins.opcode {
                     Some(op) => ub.record(classify_evm_opcode(op)),
                     None => ub.record(InstrClass::Terminate), // INVALID
                 }
             }
-            ub
-        });
-        // Re-map edge kinds.
-        let mut out: DiGraph<UnifiedBlock, UnifiedEdge> =
-            DiGraph::with_capacity(graph.node_count());
-        for (_, b) in graph.nodes() {
-            out.add_node(b.clone());
+            out.add_node(ub);
         }
-        for (u, v, k) in graph.edges() {
+        for (u, v, k) in cfg.graph().edges() {
             let kind = match k {
                 EdgeKind::FallThrough | EdgeKind::Jump => UnifiedEdge::Seq,
                 EdgeKind::Branch => UnifiedEdge::Branch,
